@@ -1,11 +1,12 @@
 """Parcel-path microbenchmark: cross-locality action storms.
 
 The pytest-benchmark twin of ``repro bench``'s ``parcel_storm`` entry:
-every invocation pays the full parcel path -- encode, route, handler
-spawn, decode, reply -- over the loopback port, with and without the
-config-gated ``parcel.zero_copy`` fast path.  Both variants assert the
-same virtual makespan fingerprint, so a speed-up that moved the model's
-answer would fail here before it ever reached the committed baseline.
+every invocation pays the parcel path -- encode, route, handler spawn,
+reply -- over the loopback port, with the default ``parcel.zero_copy``
+fast path and with it switched off (the decode path).  Both variants
+assert the same virtual makespan fingerprint, so a speed-up that moved
+the model's answer would fail here before it ever reached the committed
+baseline.
 """
 
 from repro.config import Config
@@ -41,10 +42,10 @@ def test_parcel_storm_default_path(benchmark):
     assert parcels >= N  # request parcels at minimum
 
 
-def test_parcel_storm_zero_copy(benchmark):
-    """Gated fast path: same answers, fewer decode cycles."""
+def test_parcel_storm_decode_path(benchmark):
+    """Zero-copy off: every delivery decodes, same answers."""
     _, makespan_default, parcels_default = _storm()
-    config = Config(parcel__zero_copy=True)
+    config = Config(parcel__zero_copy=False)
     total, makespan, parcels = benchmark(_storm, config)
     assert total == EXPECTED
     assert makespan == makespan_default

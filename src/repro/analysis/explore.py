@@ -38,10 +38,11 @@ Strategies:
 Every run is replayable: the choice trace is a list of indices into the
 canonically ordered ready set at each decision point, and a violating
 schedule is greedily minimized and written as a JSON replay file that
-``repro analyze --replay FILE`` re-executes bit-identically.  All runs
-force ``runtime.deterministic_replay`` on, which disables the object
-pools and the parcel batcher (object reuse across schedules would leak
-identity into the probes).
+``repro analyze --replay FILE`` re-executes bit-identically.  Every run
+installs the explorer's probes, and an installed probe suspends the
+runtime's object pools (object reuse across schedules would leak
+identity into the probes).  Only the virtual-clock backend can be
+explored: real OS scheduling cannot be replayed.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..config import Config
-from ..errors import DeadlockError, RuntimeStateError, ValidationError
+from ..errors import ConfigError, DeadlockError, RuntimeStateError, ValidationError
 from ..runtime import context as ctx
 from ..runtime import instrument
 from ..runtime.futures import pending_demand_states
@@ -362,8 +363,14 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
     overrides = dict(app.config)
     overrides.setdefault("threads.scheduler", app.scheduler)
     overrides.setdefault("runtime.quiescence", "ignore")
-    overrides["runtime.deterministic_replay"] = True
     config = Config().replace(**{k.replace(".", "__"): v for k, v in overrides.items()})
+    backend = config.get_str("runtime.backend")
+    if backend != "virtual":
+        raise ConfigError(
+            "schedule exploration requires the virtual-clock backend "
+            f"(runtime.backend='virtual'), not {backend!r}: real OS "
+            "scheduling cannot be replayed"
+        )
 
     status, error, graph_dot = "ok", "", None
     result: Any = None
@@ -410,11 +417,9 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
                     + overload.parcels_shed
                     + rt.parcelport.parcels_dead_lettered
                 )
-            skip = getattr(rt, "_preexisting_demands", set())
+            skip = getattr(rt, "_preexisting_demands", ())
             pending = sorted(
-                label
-                for state, label in pending_demand_states()
-                if id(state) not in skip
+                label for state, label in pending_demand_states() if state not in skip
             )
             if app.invariant is not None:
                 invariant_error = app.invariant(rt, result)

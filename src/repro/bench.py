@@ -223,38 +223,20 @@ def _bench_fanout_fanin(n: int, repeats: int) -> BenchResult:
     return _result(measurement, n_tasks=n, virtual_makespan=measurement.result)
 
 
-def _bench_parcel_storm(
-    n: int,
-    repeats: int,
-    zero_copy: bool = False,
-    overload: bool = False,
-    batching: bool = False,
-) -> BenchResult:
+def _bench_parcel_storm(n: int, repeats: int, overload: bool = False) -> BenchResult:
     """``n`` cross-locality plain actions with list payloads (loopback).
 
     Every invocation serializes its arguments and ships a parcel to the
     other locality plus a reply back, so this measures the full parcel
     path: encode, route, handler spawn, decode, reply.  With
-    ``zero_copy`` the config-gated same-process fast path is enabled
-    (encode still runs for validation and byte accounting; the loopback
-    decode is skipped).  With ``overload`` the admission controller is
-    in the send path (credit accounting + breaker checks per parcel),
-    so the delta against plain ``parcel_storm`` is the overhead of
-    overload protection when the system is healthy.  With ``batching``
-    the per-destination parcel coalescer is in the send path, so the
-    delta against plain ``parcel_storm`` is what coalescing costs (or
-    saves) on loopback traffic -- virtual makespans are identical by
-    the batcher's determinism contract.
+    ``overload`` the admission controller is in the send path (credit
+    accounting + breaker checks per parcel), so the delta against plain
+    ``parcel_storm`` is the overhead of overload protection when the
+    system is healthy.
     """
     from repro.runtime import Runtime, when_all
 
-    config = None
-    if zero_copy:
-        config = Config(parcel__zero_copy=True)
-    if overload:
-        config = Config(overload__enabled=True)
-    if batching:
-        config = Config(parcel__batching=True)
+    config = Config(overload__enabled=True) if overload else None
     payload = list(range(64))
 
     def run() -> tuple[float, int]:
@@ -473,14 +455,8 @@ SUITE: dict[str, Callable[[bool, int], BenchResult]] = {
     "parcel_storm": lambda quick, repeats: _bench_parcel_storm(
         _SIZES["parcel_storm"][quick], repeats
     ),
-    "parcel_storm_zero_copy": lambda quick, repeats: _bench_parcel_storm(
-        _SIZES["parcel_storm"][quick], repeats, zero_copy=True
-    ),
     "parcel_storm_overload": lambda quick, repeats: _bench_parcel_storm(
         _SIZES["parcel_storm"][quick], repeats, overload=True
-    ),
-    "parcel_storm_batched": lambda quick, repeats: _bench_parcel_storm(
-        _SIZES["parcel_storm"][quick], repeats, batching=True
     ),
     "fig3_heat1d": lambda quick, repeats: _bench_heat1d(
         _SIZES["heat1d_steps"][quick], repeats

@@ -29,14 +29,6 @@ _DEFAULTS: dict[str, Any] = {
     "parcel.serialize": True,  # serialize args even in-process (catches bugs)
     "parcel.zero_copy": True,  # loopback fast path: encode (validate+charge) but skip decode
     "parcel.overlap": True,  # hide network latency under compute
-    # Parcel coalescing: pack small same-destination parcels into one wire
-    # message.  Off by default; the amortization is a wall-clock/packet-rate
-    # win and per-parcel semantics (acks, retries, credits, dedupe, byte
-    # accounting) are preserved exactly either way.
-    "parcel.batching": False,
-    "parcel.batch_max_parcels": 16,  # flush when a batch holds this many parcels
-    "parcel.batch_max_bytes": 16384,  # ... or this many payload+header bytes
-    "parcel.batch_linger_s": 0.0,  # virtual hold time; 0 = flush at the next yield
     # Reliable delivery (consulted only when a FaultInjector is installed).
     "parcel.retry": True,  # retransmit lost parcels on ack-timeout
     "parcel.retry_max_attempts": 8,  # total transmissions before dead-letter
@@ -85,12 +77,6 @@ _DEFAULTS: dict[str, Any] = {
     # Quiescence policy: what to do when the job drains with demanded
     # futures (dataflow/when_* targets, channel reads) left unfulfilled.
     "runtime.quiescence": "warn",  # warn | raise | ignore
-    # Deterministic replay (schedule exploration): disables every object
-    # pool (thread shells, parcel shells, execution frames) and the
-    # parcel batcher so object identity and send grouping cannot leak
-    # state between explored schedules.  repro.analysis.explore forces
-    # this on for every run it controls.
-    "runtime.deterministic_replay": False,
     # Determinism.
     "seed": 0,
 }
@@ -182,12 +168,6 @@ class Config(Mapping[str, Any]):
             raise ConfigError("parcel.retry_backoff must be >= 1.0")
         if not 0.0 <= float(self._values["parcel.retry_jitter"]) <= 1.0:
             raise ConfigError("parcel.retry_jitter must be in [0, 1]")
-        if int(self._values["parcel.batch_max_parcels"]) < 1:
-            raise ConfigError("parcel.batch_max_parcels must be >= 1")
-        if int(self._values["parcel.batch_max_bytes"]) < 1:
-            raise ConfigError("parcel.batch_max_bytes must be >= 1")
-        if float(self._values["parcel.batch_linger_s"]) < 0:
-            raise ConfigError("parcel.batch_linger_s must be non-negative")
         if int(self._values["overload.credits"]) < 1:
             raise ConfigError("overload.credits must be >= 1")
         if int(self._values["overload.max_inflight"]) < 1:

@@ -16,10 +16,11 @@ speedup on the virtual clock.
 What the virtual clock guarantees and this backend does not: virtual
 timestamps are only locally monotonic (cross-process ``makespan`` is not
 a job-wide clock), and anything defined *in terms of* the virtual clock
--- fault-injection windows, overload credits, deterministic replay, the
-modelled interconnects -- is rejected up front with a
+-- fault-injection windows, overload credits, the modelled
+interconnects -- is rejected up front with a
 :class:`~repro.errors.ConfigError` (see
-``Runtime._check_distributed_config``).
+``Runtime._check_distributed_config``; the schedule explorer rejects
+the backend itself).
 
 AGAS stays coherent by construction: every registration is mirrored to
 every process (the home process receives the pickled component, others a
@@ -65,9 +66,8 @@ class _PipeBackend(ExecutionBackend):
     distributed = True
 
     def __init__(self) -> None:
-        # Per-destination-locality parcel entries awaiting a flush (the
-        # wire-level analogue of the in-process parcel batcher: many
-        # parcels, one framed message).
+        # Per-destination-locality parcel entries awaiting a flush (wire
+        # coalescing: many parcels, one framed message).
         self._outbox: dict[int, list[tuple]] = {}
         self._outbox_size = 0
         # seq -> reply Promise for tokened sends originated here.
@@ -289,9 +289,6 @@ class _PipeBackend(ExecutionBackend):
                 break
             runtime._step_locality(loc, hint)
             self.maybe_service()
-        batcher = runtime._batcher
-        if batcher is not None and batcher.pending:
-            batcher.flush_all()
         self.flush()
 
     def _busy(self) -> bool:
@@ -651,20 +648,18 @@ def _worker_entry(
     """Worker process main: build a fresh Runtime and serve the pipe.
 
     Module-level (spawn-picklable) and defensive about forked state: the
-    parent's context stack, probes, and replay bracket must not leak into
-    this process.
+    parent's context stack and probes must not leak into this process.
     """
     import traceback
 
     from ...config import Config
     from .. import context as ctx
-    from .. import instrument, replay
+    from .. import instrument
     from ..runtime import Runtime
 
     ctx._stack.clear()
-    instrument.probe = None
-    if replay.deterministic:
-        replay.disable()
+    for probe in instrument.active_probes():
+        instrument.uninstall(probe)
     try:
         config = Config.from_mapping(
             {**config_values, "runtime.quiescence": "ignore"}

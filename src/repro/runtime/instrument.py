@@ -19,6 +19,11 @@ Design constraints:
   with :func:`install` / removed with :func:`uninstall`.
 * **Composable.**  Several probes (e.g. a race detector plus a deadlock
   detector) can be active at once; they are invoked in install order.
+* **No object reuse under observation.**  While :data:`enabled` is True
+  the runtime neither pushes to nor pops from its object pools (thread
+  shells, execution frames, parcel shells), so probes may key their
+  bookkeeping on object identity.  The schedule explorer relies on this
+  for bit-identical replays.
 
 The event vocabulary (see :class:`Probe` for signatures):
 

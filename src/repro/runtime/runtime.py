@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..config import Config, default_config
@@ -31,7 +32,6 @@ from ..errors import (
 from ..hardware.registry import MachineModel, machine as machine_lookup
 from . import context as ctx
 from . import instrument
-from . import replay
 from .context import _stack as _context_stack
 from .futures import pending_demand_states
 from .actions import get_action
@@ -184,75 +184,31 @@ class Runtime:
 
             self._overload = OverloadController(self)
             self.parcelport.overload = self._overload
-        # Parcel coalescing (see repro.runtime.parcel.batcher): per-
-        # destination batches flushed on size/bytes/linger by the
-        # progress engine.
-        # Deterministic replay (schedule exploration) forbids every
-        # reuse/coalescing optimisation whose observable behaviour
-        # depends on object identity or flush timing: the parcel-shell
-        # pool and the batcher below, plus the thread-shell and frame
-        # pools inside each ThreadPool (those read the same flag via
-        # repro.runtime.replay).
-        self._deterministic_replay = (
-            self.config.get_bool("runtime.deterministic_replay")
-            or replay.deterministic
-        )
-        self._batcher = None
-        if self.config.get_bool("parcel.batching") and not self._deterministic_replay:
-            from .parcel.batcher import ParcelBatcher
-
-            self._batcher = ParcelBatcher(
-                self.parcelport,
-                resolve=self._destination_of,
-                max_parcels=self.config.get_int("parcel.batch_max_parcels"),
-                max_bytes=self.config.get_int("parcel.batch_max_bytes"),
-                linger_s=self.config.get_float("parcel.batch_linger_s"),
-            )
-            self.parcelport.batcher = self._batcher
         # Parcel-shell object pool.  Without fault injection or admission
         # control a parcel is unreferenced the moment its handler
         # finishes (no retries, no dedupe set, no credit bookkeeping), so
         # the hot loop recycles shells instead of allocating.  Any
-        # at-least-once machinery disables the pool outright.
+        # at-least-once machinery disables the pool outright; an
+        # installed probe suspends it (see _new_parcel).
         self._parcel_pool: list[Parcel] | None = (
-            []
-            if (
-                fault_injector is None
-                and self._overload is None
-                and not self._deterministic_replay
-            )
-            else None
+            [] if fault_injector is None and self._overload is None else None
         )
         self._started = False
-        # Config-driven replay mode brackets the module-level flag for
-        # the lifetime of this runtime so the thread pools (which cannot
-        # see the config) observe it too; closed in stop().
-        self._replay_bracket = False
-        if (
-            self.config.get_bool("runtime.deterministic_replay")
-            and not replay.deterministic
-        ):
-            replay.enable()
-            self._replay_bracket = True
 
     def _check_distributed_config(self, fault_injector: "FaultInjector | None") -> None:
         """Reject features whose semantics are defined on the virtual clock.
 
         The multiprocess backend runs on real wall time, so outage
-        windows, credit timing, schedule replay, and modelled
-        interconnects have no meaning there -- failing eagerly beats
-        silently measuring something else.
+        windows, credit timing, and modelled interconnects have no
+        meaning there -- failing eagerly beats silently measuring
+        something else.  (The schedule explorer rejects the backend
+        itself: real OS scheduling cannot be replayed.)
         """
         requires = "requires the virtual-clock backend (runtime.backend='virtual')"
         if fault_injector is not None:
             raise ConfigError(
                 f"fault injection {requires}: outage windows and parcel "
                 "faults are defined on the virtual clock"
-            )
-        if self.config.get_bool("runtime.deterministic_replay") or replay.deterministic:
-            raise ConfigError(
-                f"deterministic replay / schedule exploration {requires}: "
-                "real OS scheduling cannot be replayed"
             )
         if self.config.get_bool("overload.enabled"):
             raise ConfigError(
@@ -320,8 +276,12 @@ class Runtime:
             )
         )
         # Demands created before this run (e.g. by an earlier runtime in
-        # the same process) are not this job's lost continuations.
-        self._preexisting_demands = {id(s) for s, _ in pending_demand_states()}
+        # the same process) are not this job's lost continuations.  Held
+        # weakly, not by id(): a collected state's id can be reused by a
+        # state of this run.
+        self._preexisting_demands = weakref.WeakSet(
+            s for s, _ in pending_demand_states()
+        )
         self._started = True
         return self
 
@@ -346,12 +306,6 @@ class Runtime:
             finally:
                 ctx.pop()
                 self._started = False
-                self._close_replay_bracket()
-
-    def _close_replay_bracket(self) -> None:
-        if self._replay_bracket:
-            self._replay_bracket = False
-            replay.disable()
 
     def __enter__(self) -> "Runtime":
         return self.start()
@@ -364,7 +318,6 @@ class Runtime:
                 self.backend.abort()
                 ctx.pop()
                 self._started = False
-                self._close_replay_bracket()
 
     # Queries ------------------------------------------------------------------
     def here(self) -> Locality:
@@ -464,7 +417,6 @@ class Runtime:
         :class:`~repro.errors.ParcelDeadLetterError`; a plain stall is a
         :class:`~repro.errors.DeadlockError`.
         """
-        batcher = self._batcher
         remote = self._remote
         while not predicate():
             # Distributed mode: poll the transport opportunistically (the
@@ -473,12 +425,6 @@ class Runtime:
             if remote is not None and remote.maybe_service():
                 continue
             loc, hint = self._next_locality()
-            # Coalesced parcels whose linger expires before the next task
-            # starts go out first (hint is inf on a stall, draining every
-            # open batch before declaring deadlock); a flush enqueues
-            # handler tasks, so re-evaluate from the top.
-            if batcher is not None and batcher.pending and batcher.flush_due(hint):
-                continue
             if loc is None:
                 # Nothing runnable here, but the awaited value may be on
                 # its way from another process: block on the transport
@@ -487,11 +433,6 @@ class Runtime:
                     continue
                 self._raise_stalled()
             self._step_locality(loc, hint)
-        # The predicate can flip mid-task (e.g. the awaited future
-        # resolves) with sends of that very task still parked in a batch.
-        # Unbatched they would already be on the wire: drain them.
-        if batcher is not None and batcher.pending:
-            batcher.flush_all()
         if remote is not None:
             remote.flush()
 
@@ -499,19 +440,12 @@ class Runtime:
         """Like :meth:`progress_until`, but only step work that can start
         at or before virtual ``deadline``; returns the final predicate
         value instead of raising on a stall (timeout machinery)."""
-        batcher = self._batcher
         remote = self._remote
         try:
             while not predicate():
                 if remote is not None and remote.maybe_service():
                     continue
                 loc, hint = self._next_locality()
-                if (
-                    batcher is not None
-                    and batcher.pending
-                    and batcher.flush_due(min(hint, deadline))
-                ):
-                    continue
                 if loc is None or hint > deadline:
                     # A non-blocking transport poll (timed waits must not
                     # park on the pipe) may still unblock the predicate.
@@ -521,11 +455,6 @@ class Runtime:
                 self._step_locality(loc, hint)
             return True
         finally:
-            # Exit-drain, bounded by the deadline: parcels sent by tasks
-            # stepped at or before it must go out (unbatched they would
-            # have), while linger deadlines past it stay parked.
-            if batcher is not None and batcher.pending:
-                batcher.flush_due(deadline)
             if remote is not None:
                 remote.flush()
 
@@ -545,8 +474,6 @@ class Runtime:
         injector = self.fault_injector
 
         def quiescent() -> bool:
-            if self._batcher is not None and self._batcher.pending:
-                return False
             for loc in self.localities:
                 if loc.locality_id in self.decommissioned:
                     continue
@@ -581,10 +508,9 @@ class Runtime:
         mode = self.config.get_str("runtime.quiescence")
         if mode == "ignore":
             return
-        skip = getattr(self, "_preexisting_demands", set())
+        skip = getattr(self, "_preexisting_demands", ())
         pending = sorted(
-            label for state, label in pending_demand_states()
-            if id(state) not in skip
+            label for state, label in pending_demand_states() if state not in skip
         )
         if not pending:
             return
@@ -709,10 +635,12 @@ class Runtime:
 
         The pool only exists when no fault injector and no overload
         controller are installed -- the configurations under which a
-        parcel is provably unreferenced once its handler returns.
+        parcel is provably unreferenced once its handler returns.  Like
+        every object pool it is neither popped nor pushed while a probe
+        is installed: probes key their bookkeeping on object identity.
         """
         pool = self._parcel_pool
-        if pool:
+        if pool and not instrument.enabled:
             return pool.pop().reinit(
                 source_locality, payload, target_gid, target_locality, send_time
             )
@@ -881,7 +809,11 @@ class Runtime:
             # reference past this point (no retries, dedupe, or credit
             # bookkeeping), so the shell is recycled for the next send.
             # Early returns above (migration reship) keep their parcel.
-            if shell_pool is not None and len(shell_pool) < 512:
+            if (
+                shell_pool is not None
+                and not instrument.enabled
+                and len(shell_pool) < 512
+            ):
                 parcel.payload = b""
                 parcel.by_ref_body = None
                 parcel.reply_promise = None
@@ -1001,7 +933,7 @@ class Runtime:
         if not hasattr(self, "_preexisting_demands"):
             return 0
         states = pending_demand_states()
-        self._preexisting_demands.update(id(state) for state, _ in states)
+        self._preexisting_demands.update(state for state, _ in states)
         if instrument.probe is not None:
             instrument.probe.forgiven(self)
         return len(states)
@@ -1034,11 +966,6 @@ class Runtime:
             size = len(serialize(value)) + 64 if self._serialize_parcels else 64
             delay = self.parcelport.interconnect.transfer_time(size, self.n_localities)
         send_time = self._send_time()
-        if self._batcher is not None:
-            # The reply delivery is a direct pool submission; any parcels
-            # this task already coalesced toward the caller must not be
-            # overtaken by it, so close that destination's batch first.
-            self._batcher.flush_destination(to_locality)
         source_pool = self.localities[to_locality].pool
 
         def deliver() -> None:

@@ -24,7 +24,6 @@ from ...errors import DeadlockError, RuntimeStateError
 from .. import context as ctx
 from ..context import _stack as _context_stack
 from .. import instrument
-from .. import replay
 from ..futures import Future
 from .hpx_thread import _NO_KWARGS, HpxThread, ThreadPriority, ThreadState
 from .scheduler import Scheduler, WorkStealingScheduler, make_scheduler
@@ -90,6 +89,8 @@ class ThreadPool:
         self.failures: list[tuple[HpxThread, BaseException]] = []
         #: Freelist of finished task shells (see :meth:`_recycle`) --
         #: spawn-heavy loops reinit a parked shell instead of allocating.
+        #: Neither freelist is popped or pushed while a probe is
+        #: installed (probes key their bookkeeping on object identity).
         self._shell_pool: list[HpxThread] = []
         #: Freelist of execution-context frames (scoped to one _execute).
         self._frame_pool: list = []
@@ -184,7 +185,7 @@ class ThreadPool:
             else:
                 ready_time = self.makespan
         shells = self._shell_pool
-        if shells and not replay.deterministic:
+        if shells and not instrument.enabled:
             task = shells.pop().reinit(
                 fn,
                 args,
@@ -271,7 +272,7 @@ class ThreadPool:
         # Frames live exactly for the duration of one _execute (nothing
         # retains them past the pop below), so they are recycled from a
         # per-pool freelist; ``frame.pool`` is ``self`` on every reuse.
-        frames = None if replay.deterministic else self._frame_pool
+        frames = None if instrument.enabled else self._frame_pool
         if frames:
             frame = frames.pop()
             frame.runtime = runtime
@@ -332,11 +333,7 @@ class ThreadPool:
         post-mortem).  The shell's user references are dropped so a
         parked shell never pins a closure, its arguments, or a result.
         """
-        if (
-            replay.deterministic
-            or instrument.enabled
-            or len(self._shell_pool) >= 1024
-        ):
+        if instrument.enabled or len(self._shell_pool) >= 1024:
             return
         failures = self.failures
         if failures and failures[-1][0] is task:

@@ -67,10 +67,7 @@ class TraceEvent:
     ``parcel_shed | parcel_deferred | credit_stall | credit_resume |
     breaker_open | breaker_close | breaker_probe | phi_confirm`` when a
     runtime with an :class:`~repro.resilience.overload.OverloadController`
-    is attached, and ``parcel_batch_flush`` (one coalesced wire message
-    departing; ``args`` carries destination, parcel count, bytes, and
-    the flush reason) when ``parcel.batching`` is enabled, and
-    ``checkpoint_corrupt_skipped`` (warning level: a retained
+    is attached, and ``checkpoint_corrupt_skipped`` (warning level: a retained
     checkpoint epoch failed verification during restore and was
     skipped; ``args`` carries the epoch and size).  ``pool``/``worker_id``
     locate the event when known (parcel events carry the locality pool
@@ -257,19 +254,6 @@ class Tracer:
             controller.event_hook = overload_hook
             patched.append((controller, "event_hook", orig_hook))
 
-        batcher = getattr(port, "batcher", None)
-        if batcher is not None:
-            orig_batch_hook = batcher.event_hook
-
-            def batch_hook(kind, time, parcel_id, args, original=orig_batch_hook):
-                self.events.append(
-                    TraceEvent(kind=kind, time=time, parcel_id=parcel_id, args=args)
-                )
-                if original is not None:
-                    original(kind, time, parcel_id, args)
-
-            batcher.event_hook = batch_hook
-            patched.append((batcher, "event_hook", orig_batch_hook))
 
     def _patch_checkpoint_hook(self, runtime: "Runtime", patched: list) -> None:
         orig_ckpt_hook = runtime.checkpoint_event_hook

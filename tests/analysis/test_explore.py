@@ -22,9 +22,8 @@ from repro.analysis.explore import (
     get_app,
     replay_file,
 )
-from repro.config import Config
 from repro.errors import ValidationError
-from repro.runtime import instrument, replay
+from repro.runtime import instrument
 from repro.runtime.runtime import Runtime
 
 BUGGY = [name for name, (_, kind) in CORPUS.items() if kind is not None]
@@ -168,7 +167,7 @@ def test_replay_file_rejects_foreign_json(tmp_path):
 
 def test_exploration_is_deterministic():
     """Two identical explorations agree choice-for-choice -- nothing
-    (pooled shells, batching, global counters) leaks between runs."""
+    (pooled shells, global counters) leaks between runs."""
     app, _ = CORPUS["corpus/conservation"]
     first = explore(app, strategy="random", seed=11, minimize=False)
     second = explore(app, strategy="random", seed=11, minimize=False)
@@ -179,7 +178,7 @@ def test_exploration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# The deterministic-replay guard really disables the object pools
+# An installed probe suspends every object pool
 # ---------------------------------------------------------------------------
 
 
@@ -192,23 +191,43 @@ def _churn(pool, n=6):
     return None
 
 
-def test_replay_guard_disables_shell_and_frame_pools():
-    cfg = Config().replace(runtime__deterministic_replay=True)
-    with Runtime(n_localities=1, workers_per_locality=1, config=cfg) as rt:
-        assert replay.deterministic
-        pool = rt.localities[0].pool
-        rt.run(lambda: _churn(pool))
-        assert pool._shell_pool == []
-        assert pool._frame_pool == []
-        assert rt._parcel_pool is None
-        assert rt._batcher is None
-    assert not replay.deterministic  # bracket closed with the runtime
+def _echo(i):
+    return i
+
+
+def _churn_and_send(rt, n=6):
+    """Local spawns on locality 0 plus cross-locality parcels to 1."""
+    _churn(rt.localities[0].pool, n)
+    assert sum(rt.async_at(1, _echo, i).get() for i in range(n)) == sum(range(n))
+
+
+def _pool_sizes(rt):
+    pools = [loc.pool for loc in rt.localities]
+    return (
+        sum(len(pool._shell_pool) for pool in pools),
+        sum(len(pool._frame_pool) for pool in pools),
+        len(rt._parcel_pool),
+    )
+
+
+def test_probe_suspends_shell_frame_and_parcel_pools():
+    probe = instrument.Probe()
+    with Runtime(n_localities=2, workers_per_locality=1) as rt:
+        instrument.install(probe)
+        try:
+            assert instrument.enabled
+            rt.run(lambda: _churn_and_send(rt))
+            assert _pool_sizes(rt) == (0, 0, 0)
+        finally:
+            instrument.uninstall(probe)
+        rt.run(lambda: _churn_and_send(rt))
+        shells, frames, parcels = _pool_sizes(rt)
+        assert shells > 0 and frames > 0 and parcels > 0
 
 
 def test_pools_recycle_without_the_guard():
     """Control case: the same workload does reuse shells normally."""
     with Runtime(n_localities=1, workers_per_locality=1) as rt:
-        assert not replay.deterministic
         assert not instrument.enabled
         pool = rt.localities[0].pool
         rt.run(lambda: _churn(pool))
@@ -224,7 +243,7 @@ def test_explorer_forces_the_guard_even_without_config():
         inner = app.build(rt)
 
         def job():
-            seen.append(replay.deterministic)
+            seen.append(instrument.enabled)
             return inner()
 
         return job

@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import Config
 from repro.errors import DeadlockError, QuiescenceWarning
-from repro.runtime.futures import Promise
+from repro.runtime.futures import Promise, _SharedState, demand
 from repro.runtime.lco.dataflow import dataflow
 from repro.runtime.runtime import Runtime
 
@@ -83,6 +83,26 @@ def test_abandoned_channel_read_is_flagged():
                 holder["pending"] = chan.get()
                 holder["chan"] = chan
 
+            rt.run(main)
+
+
+def test_collected_earlier_demand_cannot_mask_a_new_one():
+    """A demand pending when the run starts is not this run's to report;
+    once collected, its id() can be reused by one of this run's states,
+    which must still be reported."""
+    earlier = [_SharedState()]
+    demand(earlier[0], "earlier")
+    held = []
+
+    def main():
+        earlier.clear()
+        state = _SharedState()  # on CPython: the freed block, same id()
+        demand(state, "lost")
+        held.append(state)
+
+    config = Config(runtime__quiescence="raise")
+    with pytest.raises(DeadlockError, match="lost"):
+        with Runtime(n_localities=1, workers_per_locality=1, config=config) as rt:
             rt.run(main)
 
 

@@ -4,16 +4,19 @@ Outage windows, credit timing, schedule replay, and modelled
 interconnects are all *virtual-time* constructs; combining them with
 real OS processes would silently measure something else.  Every combo
 must fail fast with a :class:`~repro.errors.ConfigError` at Runtime
-construction (or at the resilient entry point), never mid-run.
+construction (or at the resilient or explorer entry point), never
+mid-run.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.explore import ExploreApp, explore
 from repro.config import Config
 from repro.errors import ConfigError
 from repro.resilience import FaultInjector
+from repro.runtime import instrument
 from repro.runtime.runtime import Runtime
 
 
@@ -27,10 +30,16 @@ def test_rejects_fault_injector():
         Runtime(n_localities=2, config=_mp_config(), fault_injector=injector)
 
 
-def test_rejects_deterministic_replay():
-    config = _mp_config(**{"runtime.deterministic_replay": True})
-    with pytest.raises(ConfigError, match="replay"):
-        Runtime(n_localities=2, config=config)
+def test_explorer_rejects_multiprocess():
+    app = ExploreApp(
+        name="gates/_multiprocess",
+        build=lambda rt: (lambda: None),
+        n_localities=2,
+        config={"runtime.backend": "multiprocess"},
+    )
+    with pytest.raises(ConfigError, match="virtual"):
+        explore(app, budget=1, minimize=False)
+    assert not instrument.enabled  # rejected before any probe went in
 
 
 def test_rejects_overload_protection():
