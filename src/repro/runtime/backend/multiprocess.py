@@ -8,6 +8,14 @@ one it executes; parcels routed anywhere else are intercepted at the
 router and carried over the pipes in the existing encode-once wire
 format (:mod:`repro.runtime.backend.wire`).
 
+Each process reads and writes its pipe ends as raw non-blocking
+descriptors, all registered once in one persistent ``select.poll``: a
+message costs one framed ``os.write`` and, on the receiving side, one
+poll and one ``os.read``.  A write the pipe cannot take at once keeps
+reading inbound frames while it waits, so two processes writing to each
+other never deadlock on full pipes.  A broken pipe raises
+:class:`~repro.errors.RuntimeStateError` naming the locality.
+
 Because each process is a real Python interpreter, per-locality worker
 pools do real concurrent work outside the driver's GIL -- which is the
 entire point: wall-clock speedup on multi-core hosts instead of modelled
@@ -34,15 +42,16 @@ driver as the fallback for a GID a process has never heard of.
 from __future__ import annotations
 
 import os
+import select
 import warnings
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from ...errors import RuntimeStateError
-from ..futures import Promise
+from ...errors import FutureAlreadySetError, RuntimeStateError
 from ..parcel.parcel import Parcel
 from ..parcel.serialization import serialize
 from .base import ExecutionBackend
-from .wire import decode_message, parcel_entry, send_message
+from .wire import FrameReader, decode_message, encode_message, frame, parcel_entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
@@ -50,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...config import Config
     from ..agas.component import Component
     from ..agas.gid import Gid
+    from ..futures import Promise
     from ..runtime import Runtime
 
 __all__ = ["MultiprocessBackend"]
@@ -58,6 +68,82 @@ __all__ = ["MultiprocessBackend"]
 _OUTBOX_CAP = 64
 #: Progress-loop steps between opportunistic transport polls.
 _SERVICE_MASK = 0x3F
+#: Bytes asked of one ``os.read``.  Larger requests cross glibc's mmap
+#: threshold and cost an mmap/munmap pair per read (~20 us against ~3).
+_READ_SIZE = 1 << 16
+_POLLIN = select.POLLIN
+_POLLOUT = select.POLLOUT
+#: Poll events that mean the peer end is gone: treated as end-of-file.
+_POLLCLOSED = select.POLLHUP | select.POLLERR | select.POLLNVAL
+
+
+class _Channel:
+    """This process's end of one duplex pipe, used as a raw descriptor.
+
+    The descriptor is non-blocking: writes that would block fall back
+    to :meth:`_PipeBackend._write_rest`, which keeps reading while it
+    waits.  ``conn`` only owns the descriptor (it is closed at
+    teardown); its own framing is never used.
+    """
+
+    __slots__ = ("peer", "conn", "fd", "reader", "open", "lost")
+
+    def __init__(self, peer: int, conn: "Connection") -> None:
+        self.peer = peer
+        self.conn = conn
+        self.fd = conn.fileno()
+        self.reader = FrameReader()
+        #: Registered with the poller; False once end-of-file was read.
+        self.open = True
+        #: Why the pipe failed, once it has.  Writes then raise at once.
+        self.lost: str | None = None
+        os.set_blocking(self.fd, False)
+
+
+class _ReplyRelay:
+    """Reply end of a parcel whose caller lives in another process.
+
+    Stands where the parcel's reply :class:`~repro.runtime.futures.Promise`
+    would, with the part of its interface the parcel layer uses on a
+    reply end (``set_value``, ``set_exception``, ``is_ready``).
+    Fulfilling it writes the ``reply`` message straight away, so serving
+    a parcel costs its handler task and no delivery task.
+    """
+
+    __slots__ = ("backend", "origin", "seq", "ready")
+
+    def __init__(self, backend: "_PipeBackend", origin: int, seq: int) -> None:
+        self.backend = backend
+        self.origin = origin
+        self.seq = seq
+        self.ready = False
+
+    def is_ready(self) -> bool:
+        return self.ready
+
+    def set_value(self, value: Any = None) -> None:
+        self._claim()
+        try:
+            data = serialize(value)
+        except Exception as exc:  # unpicklable result
+            self._send(False, serialize(exc))
+        else:
+            self._send(True, data)
+
+    def set_exception(self, exc: BaseException) -> None:
+        self._claim()
+        self._send(False, serialize(exc))
+
+    def _claim(self) -> None:
+        if self.ready:
+            raise FutureAlreadySetError("promise already satisfied")
+        self.ready = True
+
+    def _send(self, ok: bool, data: bytes) -> None:
+        backend = self.backend
+        backend._send(self.origin, ("reply", self.origin, self.seq, ok, data))
+        backend.replies_sent += 1
+        backend._activity = True
 
 
 class _PipeBackend(ExecutionBackend):
@@ -71,7 +157,7 @@ class _PipeBackend(ExecutionBackend):
         self._outbox: dict[int, list[tuple]] = {}
         self._outbox_size = 0
         # seq -> reply Promise for tokened sends originated here.
-        self._tokens: dict[int, Promise] = {}
+        self._tokens: dict[int, "Promise | _ReplyRelay"] = {}
         self._token_seq = 0
         self._resolve_seq = 0
         self._resolved: dict[int, int] = {}
@@ -80,6 +166,15 @@ class _PipeBackend(ExecutionBackend):
         #: detection reads and resets this).
         self._activity = False
         self._stopping = False
+        # Transport: one poller for every pipe of this process, each fd
+        # registered once.  Frames read but not yet dispatched wait in
+        # ``_inbox`` as (channel, body); body None marks end-of-file.
+        self._poller = select.poll()
+        self._by_fd: dict[int, _Channel] = {}
+        self._open_channels = 0
+        self._inbox: deque[tuple[_Channel, bytes | None]] = deque()
+        self._timeout = 0.0
+        self._timeout_ms = 0
         # Counters (perfcounter sources; see /backend{total}/...).
         self.parcels_forwarded = 0
         self.parcels_received = 0
@@ -92,12 +187,142 @@ class _PipeBackend(ExecutionBackend):
         self.agas_resolves = 0
         self.sync_rounds = 0
 
-    # Transport primitives (side-specific) ---------------------------------
+    # Transport -------------------------------------------------------------
+    def _set_timeout(self, seconds: float) -> None:
+        self._timeout = seconds
+        self._timeout_ms = max(1, int(seconds * 1000))
+
+    def _add_channel(self, channel: _Channel) -> None:
+        self._poller.register(channel.fd, _POLLIN)
+        self._by_fd[channel.fd] = channel
+        self._open_channels += 1
+
     def _send(self, destination: int, message: tuple) -> None:
         raise NotImplementedError
 
+    def _write_message(self, channel: _Channel, message: tuple) -> None:
+        data = encode_message(message)
+        self.messages_sent += 1
+        self.wire_bytes_sent += len(data)
+        self._write(channel, frame(data))
+
+    def _write(self, channel: _Channel, data: bytes) -> None:
+        """Write one whole frame; never dispatches inbound traffic."""
+        if channel.lost is not None:
+            raise self._lost_error(channel)
+        try:
+            written = os.write(channel.fd, data)
+        except BlockingIOError:
+            written = 0
+        except OSError as exc:
+            self._fail(channel, f"write failed: {exc}")
+        if written != len(data):
+            self._write_rest(channel, memoryview(data)[written:])
+
+    def _write_rest(self, channel: _Channel, rest: memoryview) -> None:
+        """Finish a write the pipe could not take at once.
+
+        While it waits for room, inbound frames on every pipe of this
+        process are read into the inbox (not dispatched).  Two processes
+        writing to each other therefore both make progress, instead of
+        both blocking on full pipes with neither reading.
+        """
+        poller = self._poller
+        fd = channel.fd
+        poller.modify(fd, _POLLIN | _POLLOUT)
+        try:
+            while rest:
+                events = poller.poll(self._timeout_ms)
+                if not events:
+                    self._fail(
+                        channel,
+                        f"a write made no progress for {self._timeout:g}s "
+                        "(runtime.mp_stall_timeout_s)",
+                    )
+                for ready_fd, mask in events:
+                    peer = self._by_fd[ready_fd]
+                    if peer is channel and mask & _POLLOUT:
+                        try:
+                            rest = rest[os.write(fd, rest) :]
+                        except BlockingIOError:
+                            pass
+                        except OSError as exc:
+                            self._fail(channel, f"write failed: {exc}")
+                    if mask & ~_POLLOUT:
+                        self._read(peer, mask)
+                if not channel.open:
+                    self._fail(channel, "pipe closed during a write")
+        finally:
+            if channel.open:
+                poller.modify(fd, _POLLIN)
+
+    def _read(self, channel: _Channel, mask: int) -> None:
+        """One read on a ready pipe: queue the frames it completed, or
+        end-of-file when the peer end is gone."""
+        if not channel.open:  # closed earlier in this batch of events
+            return
+        if mask & _POLLIN:
+            try:
+                chunk = os.read(channel.fd, _READ_SIZE)
+            except BlockingIOError:
+                return
+            except OSError:
+                chunk = b""  # connection reset: the peer is gone
+            if chunk:
+                inbox = self._inbox
+                for body in channel.reader.feed(chunk):
+                    inbox.append((channel, body))
+                return
+        elif not mask & _POLLCLOSED:
+            return
+        self._close_channel(channel)
+        self._inbox.append((channel, None))
+
+    def _close_channel(self, channel: _Channel) -> None:
+        if channel.open:
+            channel.open = False
+            self._poller.unregister(channel.fd)
+            self._open_channels -= 1
+
+    def _fail(self, channel: _Channel, reason: str) -> None:
+        """A pipe broke: remember why and raise the named error."""
+        if channel.lost is None:
+            channel.lost = reason
+        self._close_channel(channel)
+        self._peer_gone(channel.peer)
+        raise self._lost_error(channel)
+
+    def _lost_error(self, channel: _Channel) -> RuntimeStateError:
+        raise NotImplementedError
+
+    def _peer_gone(self, peer: int) -> None:
+        """Bookkeeping when the process at the other end of a pipe is gone."""
+
     def _service(self, block: bool) -> bool:
-        """Receive and dispatch pending messages; True if any arrived."""
+        """Receive and dispatch pending messages; True if any arrived.
+
+        Blocking waits are bounded by ``runtime.mp_stall_timeout_s``.
+        """
+        inbox = self._inbox
+        if not inbox:
+            if not self._open_channels:
+                return False
+            events = self._poller.poll(self._timeout_ms if block else 0)
+            if not events:
+                return False
+            by_fd = self._by_fd
+            for fd, mask in events:
+                self._read(by_fd[fd], mask)
+        while inbox:
+            channel, body = inbox.popleft()
+            if body is None:
+                self._end_of_file(channel)
+            else:
+                self._dispatch(decode_message(body))
+        self.flush()
+        return True
+
+    def _end_of_file(self, channel: _Channel) -> None:
         raise NotImplementedError
 
     # Send path -------------------------------------------------------------
@@ -186,29 +411,8 @@ class _PipeBackend(ExecutionBackend):
         )
         parcel.fire_and_forget = faf
         parcel.priority = priority
-        promise = Promise()
-        parcel.reply_promise = promise
         if token is not None:
-            origin, seq = token
-            backend = self
-
-            def relay_reply(future: Any) -> None:
-                state = future._state
-                if state.exception is None:
-                    try:
-                        data = serialize(state.value)
-                        ok = True
-                    except Exception as exc:  # unpicklable result
-                        data = serialize(exc)
-                        ok = False
-                else:
-                    data = serialize(state.exception)
-                    ok = False
-                backend._send(origin, ("reply", origin, seq, ok, data))
-                backend.replies_sent += 1
-                backend._activity = True
-
-            promise.get_future()._on_ready(relay_reply)
+            parcel.reply_promise = _ReplyRelay(self, *token)
         self.parcels_received += 1
         runtime._route_parcel(parcel, arrival_time=parcel.send_time)
 
@@ -323,7 +527,7 @@ class MultiprocessBackend(_PipeBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        self._conns: dict[int, "Connection"] = {}
+        self._channels: dict[int, _Channel] = {}
         self._procs: dict[int, Any] = {}
         self._worker_stats: dict[int, dict[str, Any]] = {}
         self._stopped_workers: set[int] = set()
@@ -337,6 +541,7 @@ class MultiprocessBackend(_PipeBackend):
 
         runtime = self.runtime
         config = runtime.config
+        self._set_timeout(config.get_float("runtime.mp_stall_timeout_s"))
         method = config.get_str("runtime.mp_start_method")
         if method == "auto":
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -345,6 +550,14 @@ class MultiprocessBackend(_PipeBackend):
         self.processes = runtime.n_localities
         for worker_id in range(1, runtime.n_localities):
             parent, child = mp_ctx.Pipe(duplex=True)
+            # A forked worker inherits the driver's end of every pipe made
+            # so far; it closes them, so that it reads end-of-file when
+            # the driver is gone.  A spawned worker inherits nothing.
+            inherited = (
+                [c.conn for c in self._channels.values()] + [parent]
+                if method == "fork"
+                else []
+            )
             proc = mp_ctx.Process(
                 target=_worker_entry,
                 args=(
@@ -353,21 +566,23 @@ class MultiprocessBackend(_PipeBackend):
                     runtime.n_localities,
                     runtime.workers_per_locality,
                     values,
+                    inherited,
                 ),
                 name=f"repro-locality-{worker_id}",
                 daemon=True,
             )
             proc.start()
             child.close()
-            self._conns[worker_id] = parent
+            channel = _Channel(worker_id, parent)
+            self._channels[worker_id] = channel
+            self._add_channel(channel)
             self._procs[worker_id] = proc
 
     def quiesce(self) -> None:
         """Termination detection: repeat drain+sync rounds until a full
         round passes with every process idle and no traffic moved."""
-        if not self._conns:
+        if not self._channels:
             return
-        timeout = self.runtime.config.get_float("runtime.mp_stall_timeout_s")
         max_rounds = self.runtime.config.get_int("runtime.mp_sync_rounds")
         for _ in range(max_rounds):
             self._drain_local()
@@ -377,15 +592,15 @@ class MultiprocessBackend(_PipeBackend):
             seq = self._sync_seq
             self._acks[seq] = set()
             self._worker_busy = {}
-            for worker_id in self._conns:
+            for worker_id in self._channels:
                 self._send(worker_id, ("sync", seq))
-            while len(self._acks[seq]) < len(self._conns) - len(
+            while len(self._acks[seq]) < len(self._channels) - len(
                 self._stopped_workers
             ):
                 if not self._service(block=True):
                     raise RuntimeStateError(
                         f"multiprocess shutdown: sync round {seq} timed out "
-                        f"after {timeout:g}s awaiting worker acks"
+                        f"after {self._timeout:g}s awaiting worker acks"
                     )
                 self._drain_local()
             del self._acks[seq]
@@ -411,43 +626,39 @@ class MultiprocessBackend(_PipeBackend):
             return
         self._stopping = True
         try:
-            for worker_id, conn in self._conns.items():
+            for worker_id in self._channels:
                 if worker_id not in self._stopped_workers:
                     try:
-                        self.messages_sent += 1
-                        self.wire_bytes_sent += send_message(conn, ("stop",))
-                    except (BrokenPipeError, OSError):
+                        self._send(worker_id, ("stop",))
+                    except RuntimeStateError:
                         self._stopped_workers.add(worker_id)
-            while len(self._stopped_workers) < len(self._conns):
+            while len(self._stopped_workers) < len(self._channels):
                 if not self._service(block=True):
                     break  # timed out; join/terminate below
         finally:
-            for proc in self._procs.values():
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung worker
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+            self._reap(timeout=5.0)
 
     def abort(self) -> None:
         self._stopping = True
-        for conn in self._conns.values():
-            try:
-                send_message(conn, ("abort",))
-            except (BrokenPipeError, OSError):
-                pass
+        abort = frame(encode_message(("abort",)))
+        for channel in self._channels.values():
+            if channel.lost is None:
+                try:
+                    os.write(channel.fd, abort)
+                except OSError:  # full or broken pipe: terminated below
+                    pass
+        self._reap(timeout=1.0)
+
+    def _reap(self, timeout: float) -> None:
         for proc in self._procs.values():
-            proc.join(timeout=1.0)
-            if proc.is_alive():
+            proc.join(timeout=timeout)
+            if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for conn in self._conns.values():
+        for channel in self._channels.values():
+            self._close_channel(channel)
             try:
-                conn.close()
+                channel.conn.close()
             except OSError:  # pragma: no cover
                 pass
 
@@ -456,55 +667,31 @@ class MultiprocessBackend(_PipeBackend):
         if destination == self.my_id:
             self._dispatch(message)
             return
-        conn = self._conns[destination]
-        self.messages_sent += 1
-        self.wire_bytes_sent += send_message(conn, message)
+        self._write_message(self._channels[destination], message)
 
-    def _service(self, block: bool) -> bool:
-        from multiprocessing.connection import wait as conn_wait
+    def _end_of_file(self, channel: _Channel) -> None:
+        if channel.lost is None:
+            channel.lost = "its process exited (pipe closed)"
+        worker_id = channel.peer
+        if worker_id in self._stopped_workers:
+            return  # it said "stopped" (or "error") before closing
+        self._stopped_workers.add(worker_id)
+        if not self._stopping:
+            raise self._lost_error(channel)
 
-        conns = [
-            conn
-            for worker_id, conn in self._conns.items()
-            if worker_id not in self._stopped_workers
-        ]
-        if not conns:
-            return False
-        timeout = (
-            self.runtime.config.get_float("runtime.mp_stall_timeout_s")
-            if block
-            else 0
+    def _peer_gone(self, peer: int) -> None:
+        self._stopped_workers.add(peer)
+
+    def _lost_error(self, channel: _Channel) -> RuntimeStateError:
+        return RuntimeStateError(
+            f"worker process for locality {channel.peer} is gone: "
+            f"{channel.lost}; {len(self._tokens)} reply token(s) outstanding"
         )
-        ready = conn_wait(conns, timeout)
-        if not ready:
-            return False
-        for conn in ready:
-            while True:
-                try:
-                    data = conn.recv_bytes()
-                except (EOFError, OSError):
-                    self._mark_dead(conn)
-                    break
-                self._dispatch(decode_message(data))
-                if not conn.poll(0):
-                    break
-        self.flush()
-        return True
-
-    def _mark_dead(self, conn: "Connection") -> None:
-        for worker_id, c in self._conns.items():
-            if c is conn and worker_id not in self._stopped_workers:
-                self._stopped_workers.add(worker_id)
-                if not self._stopping:
-                    raise RuntimeStateError(
-                        f"worker process for locality {worker_id} exited "
-                        "unexpectedly (pipe closed)"
-                    )
 
     def _broadcast_create(
         self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int
     ) -> None:
-        for worker_id in self._conns:
+        for worker_id in self._channels:
             if worker_id != exclude and worker_id not in self._stopped_workers:
                 self._send(worker_id, ("create", origin, gid, home, data))
 
@@ -551,9 +738,10 @@ class _WorkerBackend(_PipeBackend):
 
     def __init__(self, conn: "Connection", worker_id: int, config: "Config") -> None:
         super().__init__()
-        self._conn = conn
         self.my_id = worker_id
-        self._timeout = config.get_float("runtime.mp_stall_timeout_s")
+        self._driver = _Channel(0, conn)
+        self._add_channel(self._driver)
+        self._set_timeout(config.get_float("runtime.mp_stall_timeout_s"))
         self._sent_stopped = False
 
     def attach(self, runtime: "Runtime") -> None:
@@ -572,7 +760,7 @@ class _WorkerBackend(_PipeBackend):
         self._sent_stopped = True
         try:
             self._send(0, ("stopped", self.my_id, self._stats()))
-        except (BrokenPipeError, OSError):  # driver already gone
+        except RuntimeStateError:  # driver already gone
             pass
         self._stopping = True
 
@@ -596,24 +784,17 @@ class _WorkerBackend(_PipeBackend):
     def _send(self, destination: int, message: tuple) -> None:
         # Everything funnels through the driver, which relays by the
         # destination embedded in the message.
-        self.messages_sent += 1
-        self.wire_bytes_sent += send_message(self._conn, message)
+        self._write_message(self._driver, message)
 
-    def _service(self, block: bool) -> bool:
-        conn = self._conn
-        if not conn.poll(self._timeout if block else 0):
-            return False
-        dispatched = False
-        while conn.poll(0) or not dispatched:
-            try:
-                data = conn.recv_bytes()
-            except (EOFError, OSError):
-                self._stopping = True
-                raise SystemExit(0) from None
-            self._dispatch(decode_message(data))
-            dispatched = True
-        self.flush()
-        return True
+    def _end_of_file(self, channel: _Channel) -> None:
+        self._stopping = True  # the driver is gone
+        raise SystemExit(0)
+
+    def _lost_error(self, channel: _Channel) -> RuntimeStateError:
+        return RuntimeStateError(
+            f"locality {self.my_id}: the pipe to the driver (locality 0) "
+            f"failed: {channel.lost}"
+        )
 
     def _broadcast_create(
         self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int
@@ -638,17 +819,26 @@ class _WorkerBackend(_PipeBackend):
             super()._dispatch_control(message)
 
 
+def _write_blocking(fd: int, data: bytes) -> None:
+    os.set_blocking(fd, True)
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
 def _worker_entry(
     conn: "Connection",
     worker_id: int,
     n_localities: int,
     workers_per_locality: int,
     config_values: dict[str, Any],
+    inherited: list["Connection"],
 ) -> None:
     """Worker process main: build a fresh Runtime and serve the pipe.
 
     Module-level (spawn-picklable) and defensive about forked state: the
-    parent's context stack and probes must not leak into this process.
+    parent's context stack, probes and pipe ends must not leak into this
+    process.
     """
     import traceback
 
@@ -657,9 +847,12 @@ def _worker_entry(
     from .. import instrument
     from ..runtime import Runtime
 
+    for other in inherited:
+        other.close()
     ctx._stack.clear()
     for probe in instrument.active_probes():
         instrument.uninstall(probe)
+    backend = None
     try:
         config = Config.from_mapping(
             {**config_values, "runtime.quiescence": "ignore"}
@@ -676,10 +869,14 @@ def _worker_entry(
     except SystemExit:
         pass
     except BaseException:
-        try:
-            send_message(conn, ("error", worker_id, traceback.format_exc()))
-        except Exception:
-            pass
+        # Skipped once the pipe to the driver has failed: the driver is
+        # gone, or a write broke off mid-frame and the stream is torn.
+        if backend is None or backend._driver.lost is None:
+            try:
+                message = ("error", worker_id, traceback.format_exc())
+                _write_blocking(conn.fileno(), frame(encode_message(message)))
+            except Exception:
+                pass
     finally:
         try:
             conn.close()

@@ -3,10 +3,17 @@
 Messages between the driver (locality 0) and the workers are tuples
 ``(kind, ...)`` encoded with the parcel layer's own
 :func:`~repro.runtime.parcel.serialization.serialize` -- the same
-encode-once format parcels already use -- and framed by
-``multiprocessing.Connection.send_bytes``.  Parcel payloads inside a
+encode-once format parcels already use.  Parcel payloads inside a
 ``"parcels"`` message are the *already-encoded* bytes produced by
 ``Runtime._encode``; they are never re-pickled, only wrapped.
+
+Framing
+-------
+Each message travels as one frame: a 4-byte big-endian length, then the
+encoded message.  The backend writes frames with ``os.write`` on the raw
+pipe descriptors and reads them with ``os.read`` into a per-connection
+:class:`FrameReader`, so one read can yield several frames and a frame
+can span several reads.
 
 Message kinds
 -------------
@@ -39,20 +46,28 @@ Message kinds
 
 from __future__ import annotations
 
+import struct
 from typing import TYPE_CHECKING, Any
 
 from ..parcel.serialization import deserialize, serialize
 
 if TYPE_CHECKING:  # pragma: no cover
-    from multiprocessing.connection import Connection  # repro-lint: disable=PX201
-
     from ..parcel.parcel import Parcel
 
-__all__ = ["encode_message", "decode_message", "parcel_entry", "send_message"]
+__all__ = [
+    "FrameReader",
+    "decode_message",
+    "encode_message",
+    "frame",
+    "parcel_entry",
+]
+
+_HEADER = struct.Struct("!I")
+_HEADER_SIZE = _HEADER.size
 
 
 def encode_message(message: tuple) -> bytes:
-    """Frame one protocol message as wire bytes."""
+    """Encode one protocol message as wire bytes (no frame header)."""
     return serialize(message)
 
 
@@ -61,11 +76,46 @@ def decode_message(data: bytes) -> tuple:
     return deserialize(data)
 
 
-def send_message(conn: "Connection", message: tuple) -> int:
-    """Encode and write one message; returns the byte count written."""
-    data = encode_message(message)
-    conn.send_bytes(data)
-    return len(data)
+def frame(data: bytes) -> bytes:
+    """Prefix encoded message bytes with their length (below 4 GiB)."""
+    return _HEADER.pack(len(data)) + data
+
+
+class FrameReader:
+    """Reassembles frames from the byte stream of one connection.
+
+    :meth:`feed` takes whatever one ``os.read`` returned and hands back
+    every frame it completed; the bytes of an unfinished frame wait in
+    the buffer for the next read.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def feed(self, chunk: bytes) -> list[bytes]:
+        buf = self._buf
+        if buf:
+            buf += chunk
+            data: bytes | bytearray = buf
+        else:
+            data = chunk  # common case: the read starts on a frame boundary
+        frames = []
+        pos = 0
+        end = len(data)
+        unpack = _HEADER.unpack_from
+        while end - pos >= _HEADER_SIZE:
+            stop = pos + _HEADER_SIZE + unpack(data, pos)[0]
+            if stop > end:
+                break
+            frames.append(bytes(data[pos + _HEADER_SIZE : stop]))
+            pos = stop
+        if data is buf:
+            del buf[:pos]
+        elif pos < end:
+            buf += data[pos:]
+        return frames
 
 
 def parcel_entry(

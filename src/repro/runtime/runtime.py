@@ -961,6 +961,16 @@ class Runtime:
             # The caller's node died while the action ran: the reply has
             # nowhere to land (its promise was abandoned with the node).
             return
+        remote = self._remote
+        if remote is not None and to_locality != remote.my_id:
+            # The caller lives in another OS process and ``promise`` is
+            # the backend's reply relay: fulfilling it writes the reply.
+            # A delivery task would run on a pool this process does not own.
+            if is_error:
+                promise.set_exception(value)
+            else:
+                promise.set_value(value)
+            return
         delay = 0.0
         if from_locality != to_locality and self._network_port:
             size = len(serialize(value)) + 64 if self._serialize_parcels else 64
